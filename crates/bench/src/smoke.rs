@@ -426,15 +426,22 @@ fn serve_component(runs: usize) -> ServeSmoke {
     }
 }
 
-/// Packed-batch sweep: the mini network through the slot-packed BSGS
-/// engine at each [`PACKED_SWEEP`] batch size, one `classify` call per
-/// run (encrypt → per-shard inference → decrypt). The pipeline caches
-/// diagonal precomputes per stride, so runs measure steady-state cost.
+/// Packed-batch sweep: the mini network through the packed BSGS
+/// reference engine ([`cnn_he::packed::PackedNetwork`]) at each
+/// [`PACKED_SWEEP`] batch size; one run is encrypt → per-shard
+/// inference → decrypt. Each stride's Galois keys and pre-encoded
+/// diagonals are built before its measured runs, so runs measure
+/// steady-state cost.
 fn packed_batch_component(runs: usize) -> Vec<PackedBatchPoint> {
-    let mut pipe = CnnHePipeline::new(mini_cnn1(12), 1 << 10, 12);
-    pipe.enable_packed_batching()
-        .expect("mini network fits the smoke ring");
-    let lanes_cap = pipe.max_batch();
+    use ckks_math::sampler::Sampler;
+    use std::sync::Arc;
+
+    let pipe = CnnHePipeline::new(mini_cnn1(12), 1 << 10, 12);
+    let packed = cnn_he::packed::PackedNetwork::from_network(&pipe.network);
+    let (ev, sk, rk) = (pipe.evaluator(), pipe.secret_key(), pipe.relin_key());
+    let mut kg = ckks::KeyGenerator::new(Arc::clone(&pipe.ctx), 12 ^ 0x9A70);
+    let pk = kg.gen_public_key(sk);
+    let mut sampler = Sampler::from_seed(12);
     let mut points = Vec::with_capacity(PACKED_SWEEP.len());
     for batch in PACKED_SWEEP {
         eprintln!("[smoke] packed batch x{batch} ({runs} runs) ...");
@@ -446,21 +453,25 @@ fn packed_batch_component(runs: usize) -> Vec<PackedBatchPoint> {
             })
             .collect();
         let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
-        // warm-up at this batch's stride (one shard's worth of lanes):
-        // builds and caches the stride's diagonal precompute so the
-        // measured runs have identical op counts
-        let lanes = batch.next_power_of_two().min(lanes_cap).max(1);
-        std::hint::black_box(pipe.classify(&refs[..lanes.min(batch)]));
-        let shards = batch.div_ceil(lanes);
+        let plan = packed
+            .plan_batch(pipe.ctx.slots(), batch)
+            .expect("mini network fits the smoke ring");
+        let layout = plan.layout();
+        let gk = kg.gen_galois_keys(sk, &packed.required_rotation_steps_for(&layout), false);
+        let pre = packed.precompute_layout(ev, &layout);
         let mut walls = Vec::with_capacity(runs);
         let mut per_run: Option<OpSnapshot> = None;
         for _ in 0..runs {
             let before = OpSnapshot::now();
             let t0 = Instant::now();
-            let cls = pipe.classify(&refs);
+            let cts = packed
+                .encrypt_batch(ev, &pk, &mut sampler, &refs, &plan)
+                .expect("the shard plan fits by construction");
+            let (outs, _) = packed.infer_batch(ev, rk, &gk, &pre, cts);
+            let logits = packed.decrypt_batch(ev, sk, &outs, &plan);
             walls.push(t0.elapsed().as_secs_f64());
-            std::hint::black_box(&cls.logits);
-            assert_eq!(cls.predictions.len(), batch);
+            std::hint::black_box(&logits);
+            assert_eq!(logits.len(), batch);
             let delta = OpSnapshot::now().delta(&before);
             if let Some(first) = &per_run {
                 assert_eq!(
@@ -474,7 +485,7 @@ fn packed_batch_component(runs: usize) -> Vec<PackedBatchPoint> {
         let wall = median(&mut walls);
         points.push(PackedBatchPoint {
             batch,
-            shards,
+            shards: plan.shards(),
             runs,
             wall_median_s: wall,
             amortized_per_image_s: wall / batch as f64,

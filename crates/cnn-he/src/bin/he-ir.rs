@@ -190,8 +190,12 @@ fn build_circuit(net: &HeNetwork, opts: &Opts) -> Circuit {
         // the engine would generate
         let packed = PackedNetwork::from_network(net);
         let params = params_for(opts.depth.unwrap_or_else(|| packed.required_levels()));
-        cnn_he::lint::plan_for_packed(&packed, params, &packed.required_rotation_steps())
-            .to_circuit()
+        let elements: Vec<usize> = packed
+            .required_rotation_steps()
+            .iter()
+            .map(|&s| params.galois_element_for_rotation(s))
+            .collect();
+        cnn_he::lint::plan_for_packed(&packed, params, 1, elements).to_circuit()
     } else {
         let params = params_for(opts.depth.unwrap_or_else(|| net.required_levels()));
         let sharing = if opts.per_tap {

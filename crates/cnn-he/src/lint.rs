@@ -47,53 +47,14 @@ pub fn plan_for_network(net: &HeNetwork, params: CkksParams, batch: usize) -> Ci
         .with_slots_used(batch)
 }
 
-/// Lowers a packed-engine network to a circuit plan. `galois_steps` are
-/// the rotation steps whose keys were (or will be) generated — pass
-/// [`PackedNetwork::required_rotation_steps`] for a well-provisioned
-/// run, or a subset to lint a deliberately broken one.
+/// Lowers the packed (BSGS) reference engine running over a layout with
+/// `stride` lanes per ciphertext to a circuit plan: per matrix layer the
+/// baby and giant rotations, every step scaled by the stride, and
+/// `dim · stride` slots occupied. `stride = 1` is the single-image
+/// tiled plan. `elements` is the Galois-key inventory as group elements
+/// (what a built [`ckks::GaloisKeys`] exposes); pass a subset of the
+/// required set to lint a deliberately broken run.
 pub fn plan_for_packed(
-    packed: &PackedNetwork,
-    params: CkksParams,
-    galois_steps: &[i64],
-) -> CircuitPlan {
-    let elements: Vec<usize> = galois_steps
-        .iter()
-        .map(|&s| params.galois_element_for_rotation(s))
-        .collect();
-    plan_for_packed_with_elements(packed, params, elements)
-}
-
-/// [`plan_for_packed`] with the Galois-key inventory given directly as
-/// group elements (what a built [`ckks::GaloisKeys`] exposes).
-pub fn plan_for_packed_with_elements(
-    packed: &PackedNetwork,
-    params: CkksParams,
-    elements: impl IntoIterator<Item = usize>,
-) -> CircuitPlan {
-    plan_for_packed_batched_with_elements(packed, params, 1, elements)
-}
-
-/// Lowers a packed-engine network running over a batch-strided layout
-/// with `stride` lanes per ciphertext: the same circuit as
-/// [`plan_for_packed`] with every rotation step scaled by the stride
-/// (and `dim · stride` slots occupied). `stride = 1` is exactly the
-/// single-image plan.
-pub fn plan_for_packed_batched(
-    packed: &PackedNetwork,
-    params: CkksParams,
-    stride: usize,
-    galois_steps: &[i64],
-) -> CircuitPlan {
-    let elements: Vec<usize> = galois_steps
-        .iter()
-        .map(|&s| params.galois_element_for_rotation(s))
-        .collect();
-    plan_for_packed_batched_with_elements(packed, params, stride, elements)
-}
-
-/// [`plan_for_packed_batched`] with the key inventory given as group
-/// elements.
-pub fn plan_for_packed_batched_with_elements(
     packed: &PackedNetwork,
     params: CkksParams,
     stride: usize,
@@ -160,6 +121,14 @@ mod tests {
     use super::*;
     use crate::he_layers::{ConvSpec, DenseSpec};
 
+    /// Galois elements of the keys generated for `steps`.
+    fn elems(params: &CkksParams, steps: &[i64]) -> Vec<usize> {
+        steps
+            .iter()
+            .map(|&s| params.galois_element_for_rotation(s))
+            .collect()
+    }
+
     fn toy_net() -> HeNetwork {
         HeNetwork {
             layers: vec![
@@ -202,7 +171,8 @@ mod tests {
         let net = toy_net();
         let packed = PackedNetwork::from_network(&net);
         let params = CkksParams::tiny(packed.required_levels());
-        let plan = plan_for_packed(&packed, params, &packed.required_rotation_steps());
+        let elements = elems(&params, &packed.required_rotation_steps());
+        let plan = plan_for_packed(&packed, params, 1, elements);
         assert_eq!(plan.required_levels(), packed.required_levels());
         assert!(
             plan.ops
@@ -228,7 +198,8 @@ mod tests {
             .iter()
             .map(|&s| s * stride as i64)
             .collect();
-        let plan = plan_for_packed_batched(&packed, params, stride, &steps);
+        let elements = elems(&params, &steps);
+        let plan = plan_for_packed(&packed, params, stride, elements);
         assert_eq!(plan.required_levels(), packed.required_levels());
         assert_eq!(plan.slots_used, packed.dim * stride);
         assert_eq!(plan.layout, he_ir::Layout::BatchStrided { stride });
@@ -247,12 +218,9 @@ mod tests {
             he_lint::analyze(&plan).render()
         );
         // under-provisioned stride-1 keys must fail the strided plan
-        let plan = plan_for_packed_batched(
-            &packed,
-            CkksParams::tiny(packed.required_levels()),
-            stride,
-            &packed.required_rotation_steps(),
-        );
+        let params = CkksParams::tiny(packed.required_levels());
+        let elements = elems(&params, &packed.required_rotation_steps());
+        let plan = plan_for_packed(&packed, params, stride, elements);
         assert!(he_lint::analyze(&plan).has_code("missing-galois-key"));
     }
 
@@ -264,7 +232,8 @@ mod tests {
         // drop the last required step from the provisioned set
         let mut steps = packed.required_rotation_steps();
         steps.pop();
-        let plan = plan_for_packed(&packed, params, &steps);
+        let elements = elems(&params, &steps);
+        let plan = plan_for_packed(&packed, params, 1, elements);
         let report = he_lint::analyze(&plan);
         assert!(report.has_code("missing-galois-key"), "{}", report.render());
         assert!(report.has_errors());

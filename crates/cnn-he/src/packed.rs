@@ -520,7 +520,7 @@ impl PackedNetwork {
         // before spending any rotations
         #[cfg(debug_assertions)]
         {
-            let plan = crate::lint::plan_for_packed_batched_with_elements(
+            let plan = crate::lint::plan_for_packed(
                 self,
                 ev.ctx().params().clone(),
                 layout.stride(),

@@ -11,7 +11,7 @@ pub enum Packing {
     /// requests batched across the slot dimension.
     #[default]
     Scalar,
-    /// Slot-packed BSGS engine with the batch-strided layout
+    /// Slot-packed compiled engine with the batch-strided layout
     /// ([`ckks::PackLayout`]): coalesced requests share one ciphertext
     /// (lane per request), spilling into shards past the lane capacity.
     /// The coalescing ceiling clamps to one shard's lane capacity so a
@@ -63,8 +63,8 @@ pub struct ServeConfig {
     pub event_log_capacity: usize,
     /// Ciphertext packing strategy of the worker pipelines. With
     /// [`Packing::PackedBatch`], `start` calls
-    /// [`cnn_he::CnnHePipeline::enable_packed_batching`] on every
-    /// worker pipeline and fails with [`crate::ServeError::Rejected`]
+    /// [`cnn_he::CnnHePipeline::compile`] on every worker pipeline (the
+    /// factory need not) and fails with [`crate::ServeError::Rejected`]
     /// when the network's packed dimension does not fit the ring.
     pub packing: Packing,
 }

@@ -126,20 +126,7 @@ impl ServeEngine {
             // packed dimension does not fit the ring; after this,
             // max_batch() is one shard's lane capacity, so the
             // coalescing ceiling is exactly one packed ciphertext
-            first.enable_packed_batching()?;
-            // backstop on the unclamped capacity: max_batch() clamps
-            // `slots / dim` to 1, which would hand the micro-batcher a
-            // phantom 1-lane ceiling over a ring that fits no lane at
-            // all — refuse typed instead of serving it
-            if first.packed_lane_capacity() == Some(0) {
-                return Err(ServeError::Rejected {
-                    reason: format!(
-                        "packed lane capacity is zero: the packed dimension exceeds the \
-                         ring's {} slots",
-                        first.ctx.slots()
-                    ),
-                });
-            }
+            first.compile()?;
         }
         let max_batch_cap = cfg.max_batch.min(first.max_batch()).max(1);
         let admission = first.validate_batch(max_batch_cap);
@@ -209,8 +196,7 @@ impl ServeEngine {
                             if packing == Packing::PackedBatch {
                                 // the identically-parameterized first
                                 // pipeline already passed this at start
-                                p.enable_packed_batching()
-                                    .expect("packed batching passed admission");
+                                p.compile().expect("packed batching passed admission");
                             }
                             p
                         });
@@ -622,11 +608,16 @@ mod tests {
 
     #[test]
     fn packed_batching_round_trip_matches_scalar_engine() {
+        // two workers: the first pipeline is compiled by `start`, the
+        // second inside the worker-spawn closure
         let cfg = ServeConfig {
             packing: Packing::PackedBatch,
             max_linger: Duration::from_millis(120),
+            workers: 2,
             ..Default::default()
         };
+        // the factory never calls `compile()`: the packing mode alone
+        // must put every worker pipeline on the compiled path
         let eng = engine(cfg, 45);
         // the mini net packs to dim 64 on a 2^10 ring (512 slots):
         // the coalescing ceiling must clamp to the 8-lane capacity

@@ -71,7 +71,8 @@ fn rotation_set_pass_matches_generated_galois_keys_exactly() {
     let steps = packed.required_rotation_steps();
     let params = paper_params(packed.required_levels(), 1 << 11);
     assert!(packed.dim <= params.slots());
-    let circuit = cnn_he::lint::plan_for_packed(&packed, params.clone(), &steps).to_circuit();
+    let elements = steps.iter().map(|&s| params.galois_element_for_rotation(s));
+    let circuit = cnn_he::lint::plan_for_packed(&packed, params.clone(), 1, elements).to_circuit();
 
     let required = required_elements(&circuit);
     assert!(!required.elements.is_empty(), "packed engine rotates");
@@ -101,7 +102,11 @@ fn underprovisioned_keys_fail_the_rotation_set_pass() {
     let mut steps = packed.required_rotation_steps();
     steps.pop();
     let params = paper_params(packed.required_levels(), 1 << 11);
-    let circuit = cnn_he::lint::plan_for_packed(&packed, params, &steps).to_circuit();
+    let elements: Vec<usize> = steps
+        .iter()
+        .map(|&s| params.galois_element_for_rotation(s))
+        .collect();
+    let circuit = cnn_he::lint::plan_for_packed(&packed, params, 1, elements).to_circuit();
     let out = PassManager::standard().run(&circuit);
     assert!(out.has_errors(), "{}", out.render());
     assert!(out.has_code("missing-galois-key"), "{}", out.render());

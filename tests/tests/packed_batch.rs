@@ -117,7 +117,7 @@ fn batch_one_encoding_is_bit_identical_to_historical_tiling() {
 fn non_pow2_batch_matches_per_image_inferences() {
     let net = mini_net(53);
     let mut pipe = CnnHePipeline::new(net, 1 << 10, 53);
-    pipe.enable_packed_batching().expect("fits the ring");
+    pipe.compile().expect("fits the ring");
     let images: Vec<Vec<f32>> = (0..5).map(image).collect();
     let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
     let cls = pipe.classify(&refs);
@@ -156,7 +156,7 @@ fn capacity_overflow_forces_two_shard_split() {
 
     // execution: the 2-shard batch matches the plain reference
     let mut pipe = CnnHePipeline::new(mini_net(54), 1 << 10, 54);
-    pipe.enable_packed_batching().expect("fits the ring");
+    pipe.compile().expect("fits the ring");
     assert_eq!(pipe.max_batch(), cap);
     let images: Vec<Vec<f32>> = (0..cap + 1).map(image).collect();
     let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();
@@ -214,8 +214,11 @@ fn sharded_rotation_set_matches_generated_keys_exactly() {
     assert!(steps.iter().any(|s| !bsgs_only.contains(s)));
 
     // lower the full batched plan (inference + shard ops) to the IR
-    let mut plan_ir =
-        cnn_he::lint::plan_for_packed_batched(&packed, params, layout.stride(), &steps);
+    let elements: Vec<usize> = steps
+        .iter()
+        .map(|&s| params.galois_element_for_rotation(s))
+        .collect();
+    let mut plan_ir = cnn_he::lint::plan_for_packed(&packed, params, layout.stride(), elements);
     for &s in &steps {
         plan_ir.ops.push(he_lint::CircuitOp::Rotation { steps: s });
     }
@@ -262,7 +265,7 @@ fn batch_64_matches_64_independent_per_image_inferences() {
     let net = mini_net(57);
     let packed = PackedNetwork::from_network(&net);
     let mut pipe = CnnHePipeline::new(net, 1 << 10, 57);
-    pipe.enable_packed_batching().expect("fits the ring");
+    pipe.compile().expect("fits the ring");
 
     let images: Vec<Vec<f32>> = (0..64).map(image).collect();
     let refs: Vec<&[f32]> = images.iter().map(Vec::as_slice).collect();

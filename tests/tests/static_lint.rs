@@ -35,6 +35,14 @@ fn params_with_depth_on_ring(depth: usize, n: usize) -> CkksParams {
     }
 }
 
+/// Galois elements of the keys generated for `steps`.
+fn elements(params: &CkksParams, steps: &[i64]) -> Vec<usize> {
+    steps
+        .iter()
+        .map(|&s| params.galois_element_for_rotation(s))
+        .collect()
+}
+
 /// The paper's CNN2 (conv+BN ×2, three SLAFs, two dense) extracted at
 /// 28×28 — requires 10 levels.
 fn cnn2_network(seed: u64) -> HeNetwork {
@@ -70,7 +78,12 @@ fn missing_rotation_key_plan_is_rejected_statically() {
     // provision every required step except the final giant step
     let mut steps = packed.required_rotation_steps();
     let dropped = steps.pop().unwrap();
-    let report = he_lint::analyze(&plan_for_packed(&packed, params.clone(), &steps));
+    let report = he_lint::analyze(&plan_for_packed(
+        &packed,
+        params.clone(),
+        1,
+        elements(&params, &steps),
+    ));
     assert!(report.has_code("missing-galois-key"), "{}", report.render());
     let elem = params.galois_element_for_rotation(dropped);
     assert!(
@@ -79,11 +92,8 @@ fn missing_rotation_key_plan_is_rejected_statically() {
         report.render()
     );
     // fully provisioned, the same plan is clean
-    let full = he_lint::analyze(&plan_for_packed(
-        &packed,
-        params,
-        &packed.required_rotation_steps(),
-    ));
+    let all = elements(&params, &packed.required_rotation_steps());
+    let full = he_lint::analyze(&plan_for_packed(&packed, params, 1, all));
     assert!(!full.has_errors(), "{}", full.render());
 }
 
@@ -93,6 +103,26 @@ fn pipeline_validate_catches_over_deep_plan_before_classify() {
     let pipe = CnnHePipeline::with_params(net, params_with_depth(6), 702);
     let report = pipe.validate();
     assert!(report.has_errors(), "{}", report.render());
+
+    // the compiled path: after `compile()`, admission is he-ir's
+    // standard passes over the compiled circuit
+    let net = cnn2_network(706);
+    let packed = PackedNetwork::from_network(&net);
+    // the packed dim (2048) fits N = 2^12; the chain is one level short
+    let params = params_with_depth_on_ring(packed.required_levels() - 1, 1 << 12);
+    let mut pipe = CnnHePipeline::with_params(net, params, 706);
+    pipe.compile().expect("the packed dim fits the ring");
+    // `validate_batch(&self)` cannot generate keys: the refusal comes
+    // from he-ir's levels pass over the compiled circuit itself
+    let report = pipe.validate_batch(1);
+    assert!(report.has_code("chain-exhausted"), "{}", report.render());
+    assert!(
+        report.render().contains("bottom of the chain"),
+        "{}",
+        report.render()
+    );
+    // and the stride is never compiled, so no key is ever generated
+    assert!(pipe.compiled_stats(1).is_none());
 }
 
 #[test]
