@@ -26,9 +26,9 @@
 //! upper bound (fresh ≤ baseline × [`WALL_TOLERANCE`]).
 
 use cnn_he::{CnnHePipeline, HeNetwork};
-use he_serve::{ServeConfig, ServeEngine};
+use he_serve::{ServeConfig, ServeEngine, ServeReport};
 use he_trace::json::Value;
-use he_trace::{OpSnapshot, ServeSnapshot};
+use he_trace::OpSnapshot;
 use neural::models::{cnn1, ActKind};
 use std::time::Instant;
 
@@ -98,7 +98,52 @@ pub struct ServeSmoke {
     pub deadline_slack_p50_s: f64,
     pub deadline_slack_p95_s: f64,
     pub ops: OpSnapshot,
-    pub serve: ServeSnapshot,
+    pub serve: ServeCounters,
+}
+
+/// The serve engine's event counts over one measured run: the
+/// difference of two [`ServeReport`]s.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeCounters {
+    pub enqueued: u64,
+    pub batches: u64,
+    pub batched_images: u64,
+    pub timeouts: u64,
+    pub rejected: u64,
+    pub overloaded: u64,
+    pub degraded: u64,
+}
+
+impl ServeCounters {
+    /// Events counted between the `before` and `after` reports of one
+    /// engine.
+    #[must_use]
+    pub fn between(before: &ServeReport, after: &ServeReport) -> Self {
+        Self {
+            enqueued: after.enqueued - before.enqueued,
+            batches: after.batches - before.batches,
+            batched_images: after.batched_images - before.batched_images,
+            timeouts: after.timed_out - before.timed_out,
+            rejected: after.rejected - before.rejected,
+            overloaded: after.overloaded - before.overloaded,
+            degraded: after.degradations - before.degradations,
+        }
+    }
+
+    /// `(key, value)` pairs under the `serve_*` keys of
+    /// `BENCH_serve.json`, in a stable order.
+    #[must_use]
+    pub fn named(&self) -> [(&'static str, u64); 7] {
+        [
+            ("serve_enqueued", self.enqueued),
+            ("serve_batches", self.batches),
+            ("serve_batched_images", self.batched_images),
+            ("serve_timeouts", self.timeouts),
+            ("serve_rejected", self.rejected),
+            ("serve_overloaded", self.overloaded),
+            ("serve_degraded", self.degraded),
+        ]
+    }
 }
 
 /// One point of the packed-batch sweep: `batch` images classified in a
@@ -361,13 +406,13 @@ fn serve_component(runs: usize) -> ServeSmoke {
     let mut walls = Vec::with_capacity(runs);
     let mut amortized = Vec::with_capacity(runs);
     let mut per_run_ops: Option<OpSnapshot> = None;
-    let mut per_run_serve: Option<ServeSnapshot> = None;
+    let mut per_run_serve: Option<ServeCounters> = None;
     for _ in 0..runs {
         let mut attempt = 0;
         loop {
             attempt += 1;
             let ops0 = OpSnapshot::now();
-            let srv0 = ServeSnapshot::now();
+            let srv0 = engine.report();
             let t0 = Instant::now();
             let handles: Vec<_> = (0..SERVE_BATCH)
                 .map(|_| {
@@ -382,7 +427,7 @@ fn serve_component(runs: usize) -> ServeSmoke {
                 .collect();
             let wall = t0.elapsed().as_secs_f64();
             let ops = OpSnapshot::now().delta(&ops0);
-            let srv = ServeSnapshot::now().delta(&srv0);
+            let srv = ServeCounters::between(&srv0, &engine.report());
             if srv.batches != 1 && attempt == 1 {
                 eprintln!(
                     "[smoke] serve batch split ({} batches); retrying run",
@@ -576,18 +621,10 @@ pub fn run_smoke() -> SmokeReport {
 // JSON trajectory files
 // ---------------------------------------------------------------------
 
-fn json_ops(ops: &OpSnapshot, indent: &str) -> String {
-    let rows: Vec<String> = ops
-        .named()
-        .iter()
-        .map(|(k, v)| format!("{indent}  \"{k}\": {v}"))
-        .collect();
-    format!("{{\n{}\n{indent}}}", rows.join(",\n"))
-}
-
-fn json_serve_counters(srv: &ServeSnapshot, indent: &str) -> String {
-    let rows: Vec<String> = srv
-        .named()
+/// A JSON object of `(key, count)` rows (`OpSnapshot::named`,
+/// `ServeCounters::named`).
+fn json_counters(rows: &[(&str, u64)], indent: &str) -> String {
+    let rows: Vec<String> = rows
         .iter()
         .map(|(k, v)| format!("{indent}  \"{k}\": {v}"))
         .collect();
@@ -614,7 +651,7 @@ impl SmokeReport {
                     c.name,
                     c.runs,
                     c.wall_median_s,
-                    json_ops(&c.ops, "      ")
+                    json_counters(&c.ops.named(), "      ")
                 )
             })
             .collect();
@@ -661,7 +698,7 @@ impl SmokeReport {
                     p.runs,
                     p.wall_median_s,
                     p.amortized_per_image_s,
-                    json_ops(&p.ops, "      ")
+                    json_counters(&p.ops.named(), "      ")
                 )
             })
             .collect();
@@ -676,8 +713,8 @@ impl SmokeReport {
             s.queue_wait_p95_s,
             s.deadline_slack_p50_s,
             s.deadline_slack_p95_s,
-            json_ops(&s.ops, "  "),
-            json_serve_counters(&s.serve, "  "),
+            json_counters(&s.ops.named(), "  "),
+            json_counters(&s.serve.named(), "  "),
             if packed.is_empty() {
                 "  ".to_string()
             } else {
@@ -981,7 +1018,7 @@ mod tests {
             ct_mults: 7,
             ..Default::default()
         };
-        let srv = ServeSnapshot {
+        let srv = ServeCounters {
             enqueued: 4,
             batches: 1,
             batched_images: 4,

@@ -53,9 +53,8 @@ pub struct ServeConfig {
     /// Bind address for the live `/metrics` + `/health` HTTP endpoint
     /// (`127.0.0.1:0` picks a free port; read it back via
     /// [`crate::ServeEngine::metrics_addr`]). `None` = no endpoint.
-    /// Requires the `metrics` feature; with the feature compiled out,
-    /// `start` fails with [`crate::ServeError::MetricsUnavailable`]
-    /// rather than silently serving nothing.
+    /// When the address cannot be bound, `start` fails with
+    /// [`crate::ServeError::MetricsUnavailable`].
     pub metrics_addr: Option<SocketAddr>,
     /// Capacity of the per-request JSONL event log ring (`0` = no
     /// event log). Oldest events are evicted when full, so memory

@@ -14,7 +14,8 @@
 //! Robustness invariants:
 //! * **Admission** — `start` lints the network against the engine's
 //!   parameters at the maximum coalescible batch; `submit` rejects
-//!   wrong-shaped images before they enter the queue.
+//!   wrong-shaped images and non-finite pixels before they enter the
+//!   queue.
 //! * **Backpressure** — the request queue is bounded; a full queue
 //!   refuses with [`ServeError::Overloaded`] instead of growing.
 //! * **Deadlines** — a request whose deadline expires before or during
@@ -35,7 +36,7 @@ use crate::error::ServeError;
 use crate::metrics::EngineMetrics;
 use crate::queue::{BoundedQueue, Pop, TryPush};
 use crate::response::{response_pair, ResponseHandle, ServeResult};
-use crate::stats::{ServeReport, StatsCore};
+use crate::stats::ServeReport;
 use cnn_he::{CnnHePipeline, WallEwma};
 use he_trace::{cats, OpSnapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,7 +49,7 @@ const TICK: Duration = Duration::from_millis(10);
 
 struct Request {
     /// Engine-assigned id threading this request through the metrics
-    /// event log (0 with metrics compiled out).
+    /// event log.
     id: u64,
     image: Vec<f32>,
     submitted: Instant,
@@ -60,7 +61,7 @@ struct Request {
 /// A coalesced unit of work handed from the batcher to a worker.
 struct Batch {
     /// Engine-assigned id tying exec/complete/shed events to their
-    /// batch event (0 with metrics compiled out).
+    /// batch event.
     id: u64,
     requests: Vec<Request>,
 }
@@ -68,7 +69,6 @@ struct Batch {
 struct Shared {
     queue: BoundedQueue<Request>,
     batches: BoundedQueue<Batch>,
-    stats: StatsCore,
     metrics: EngineMetrics,
     /// Current coalescing ceiling (degradation ladder state).
     effective_max_batch: AtomicUsize,
@@ -103,7 +103,6 @@ pub struct ServeEngine {
     default_deadline: Option<Duration>,
     batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    #[cfg(feature = "metrics")]
     metrics_server: Option<he_metrics::MetricsServer>,
 }
 
@@ -142,7 +141,6 @@ impl ServeEngine {
             // small batch buffer: pressure propagates back to the
             // request queue instead of piling up unexecuted batches
             batches: BoundedQueue::new(cfg.workers * 2),
-            stats: StatsCore::default(),
             metrics: EngineMetrics::new(&cfg, max_batch_cap),
             effective_max_batch: AtomicUsize::new(max_batch_cap),
             max_batch_cap,
@@ -154,7 +152,6 @@ impl ServeEngine {
         // bind the /metrics endpoint before any thread spawns, so a
         // failed bind aborts start-up cleanly instead of leaking
         // workers behind an error return
-        #[cfg(feature = "metrics")]
         let metrics_server = match cfg.metrics_addr {
             Some(addr) => Some(shared.metrics.start_server(addr).map_err(|e| {
                 ServeError::MetricsUnavailable {
@@ -163,12 +160,6 @@ impl ServeEngine {
             })?),
             None => None,
         };
-        #[cfg(not(feature = "metrics"))]
-        if cfg.metrics_addr.is_some() {
-            return Err(ServeError::MetricsUnavailable {
-                reason: "engine built without the `metrics` feature".into(),
-            });
-        }
 
         let batcher = {
             let sh = Arc::clone(&shared);
@@ -212,7 +203,6 @@ impl ServeEngine {
             default_deadline: cfg.default_deadline,
             batcher: Some(batcher),
             workers,
-            #[cfg(feature = "metrics")]
             metrics_server,
         })
     }
@@ -224,8 +214,8 @@ impl ServeEngine {
 
     /// Submits one image with an explicit deadline budget (measured
     /// from now). Fails fast — without entering the queue — on shape
-    /// mismatch ([`ServeError::Rejected`]), a full queue
-    /// ([`ServeError::Overloaded`]) or a closed engine
+    /// mismatch or a NaN/±∞ pixel ([`ServeError::Rejected`]), a full
+    /// queue ([`ServeError::Overloaded`]) or a closed engine
     /// ([`ServeError::ShuttingDown`]).
     pub fn submit_with_deadline(
         &self,
@@ -233,18 +223,24 @@ impl ServeEngine {
         budget: Option<Duration>,
     ) -> Result<ResponseHandle, ServeError> {
         let _span = he_trace::span("enqueue", cats::SERVE);
-        StatsCore::bump(&self.shared.stats.submitted, 1);
-        if image.len() != self.input_len {
-            he_trace::record_serve_rejected(1);
-            StatsCore::bump(&self.shared.stats.rejected, 1);
+        self.shared.metrics.on_submit();
+        let refusal = if image.len() != self.input_len {
+            Some(format!(
+                "image has {} pixels, network expects {}",
+                image.len(),
+                self.input_len
+            ))
+        } else {
+            // a NaN or ±∞ pixel cannot be CKKS-encoded (∞ panics the
+            // encoder inside a worker); refuse it here instead
+            image
+                .iter()
+                .position(|p| !p.is_finite())
+                .map(|i| format!("pixel {i} is {}, not a finite value", image[i]))
+        };
+        if let Some(reason) = refusal {
             self.shared.metrics.on_rejected();
-            return Err(ServeError::Rejected {
-                reason: format!(
-                    "image has {} pixels, network expects {}",
-                    image.len(),
-                    self.input_len
-                ),
-            });
+            return Err(ServeError::Rejected { reason });
         }
         let now = Instant::now();
         let (handle, responder) = response_pair();
@@ -259,15 +255,12 @@ impl ServeEngine {
         };
         match self.shared.queue.try_push(request) {
             TryPush::Ok => {
-                he_trace::record_serve_enqueue(1);
                 self.shared
                     .metrics
                     .on_enqueue(id, budget, self.shared.queue.len());
                 Ok(handle)
             }
             TryPush::Full(_refused) => {
-                he_trace::record_serve_overloaded(1);
-                StatsCore::bump(&self.shared.stats.overloaded, 1);
                 self.shared.metrics.on_overloaded();
                 Err(ServeError::Overloaded {
                     capacity: self.shared.queue.capacity(),
@@ -294,25 +287,17 @@ impl ServeEngine {
 
     /// Socket address the live `/metrics` endpoint is bound to, when
     /// [`ServeConfig::metrics_addr`] asked for one (lets callers
-    /// recover the port after binding `127.0.0.1:0`). Always `None`
-    /// with the `metrics` feature compiled out.
+    /// recover the port after binding `127.0.0.1:0`).
     #[must_use]
     pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
-        #[cfg(feature = "metrics")]
-        {
-            self.metrics_server
-                .as_ref()
-                .map(he_metrics::MetricsServer::local_addr)
-        }
-        #[cfg(not(feature = "metrics"))]
-        {
-            None
-        }
+        self.metrics_server
+            .as_ref()
+            .map(he_metrics::MetricsServer::local_addr)
     }
 
     /// The per-request event log as JSONL, one event per line in
-    /// arrival order (empty without the `metrics` feature or with
-    /// [`ServeConfig::event_log_capacity`] = 0).
+    /// arrival order (empty with [`ServeConfig::event_log_capacity`]
+    /// = 0).
     #[must_use]
     pub fn events_jsonl(&self) -> String {
         self.shared.metrics.events_jsonl()
@@ -324,11 +309,12 @@ impl ServeEngine {
         self.shared.metrics.events_dropped()
     }
 
-    /// Point-in-time serving metrics.
+    /// Point-in-time serving metrics, read from the same registry the
+    /// `/metrics` endpoint exposes.
     pub fn report(&self) -> ServeReport {
         self.shared
-            .stats
-            .snapshot(self.queue_depth(), self.effective_max_batch())
+            .metrics
+            .report(self.queue_depth(), self.effective_max_batch())
     }
 
     /// Stops accepting requests, drains everything already queued
@@ -405,18 +391,11 @@ fn coalesce(shared: &Shared, first: Request) -> Vec<Request> {
 }
 
 fn dispatch(shared: &Shared, requests: Vec<Request>, linger: Duration) {
-    he_trace::record_serve_batch(1);
-    he_trace::record_serve_batched_images(requests.len() as u64);
-    StatsCore::bump(&shared.stats.batches, 1);
-    StatsCore::bump(&shared.stats.batched_images, requests.len() as u64);
     let now = Instant::now();
     let waits: Vec<Duration> = requests
         .iter()
         .map(|r| now.duration_since(r.submitted))
         .collect();
-    for w in &waits {
-        shared.stats.record_queue_wait(*w);
-    }
     let id = shared
         .metrics
         .on_batch(requests.len(), linger, &waits, shared.queue.len());
@@ -436,8 +415,6 @@ fn worker_loop(shared: &Shared, pipe: &mut CnnHePipeline) {
 }
 
 fn respond_timeout(shared: &Shared, request: Request, at: Instant, batch: Option<u64>) {
-    he_trace::record_serve_timeout(1);
-    StatsCore::bump(&shared.stats.timed_out, 1);
     let waited = at.duration_since(request.submitted);
     let late_by = request.deadline.map(|d| at.saturating_duration_since(d));
     shared.metrics.on_shed(request.id, batch, waited, late_by);
@@ -471,11 +448,14 @@ fn execute_batch(shared: &Shared, pipe: &mut CnnHePipeline, batch: Batch) {
     let wall = t0.elapsed();
     shared.observe_wall(wall);
     let n = live.len();
-    shared
-        .metrics
-        .on_exec(id, n, wall, &OpSnapshot::now().delta(&ops_before));
     let amortized = wall / u32::try_from(n).unwrap_or(u32::MAX);
-    shared.stats.record_amortized(amortized);
+    shared.metrics.on_exec(
+        id,
+        n,
+        wall,
+        amortized,
+        &OpSnapshot::now().delta(&ops_before),
+    );
 
     // 3. fan results back through each request's own responder
     let end = Instant::now();
@@ -491,11 +471,6 @@ fn execute_batch(shared: &Shared, pipe: &mut CnnHePipeline, batch: Batch) {
         }
         let latency = end.duration_since(r.submitted);
         let slack = r.deadline.map(|d| d.duration_since(end));
-        if let Some(s) = slack {
-            shared.stats.record_deadline_slack(s);
-        }
-        shared.stats.record_latency(latency);
-        StatsCore::bump(&shared.stats.completed, 1);
         shared.metrics.on_complete(r.id, id, slack, latency);
         r.responder.send(Ok(ServeResult {
             logits: cls.logits[i].clone(),
@@ -523,8 +498,6 @@ fn adjust_ceiling(shared: &Shared, overran: bool) {
         if cur > 1 {
             let next = (cur / 2).max(1);
             shared.effective_max_batch.store(next, Ordering::Relaxed);
-            he_trace::record_serve_degraded(1);
-            StatsCore::bump(&shared.stats.degradations, 1);
             shared.metrics.on_ladder(next, true);
         }
     } else {
@@ -598,7 +571,11 @@ mod tests {
         assert!(res.amortized <= res.batch_wall);
         // bounded summaries keep exact counts: one latency sample per
         // completed request, no sampling or truncation
-        assert_eq!(eng.shared.stats.latency_samples(), 1);
+        let expo = he_metrics::expo::parse(&eng.shared.metrics.render()).unwrap();
+        assert_eq!(
+            expo.value("he_serve_request_latency_seconds_count", &[]),
+            Some(1.0)
+        );
         let report = eng.shutdown();
         assert_eq!(report.completed, 1);
         assert_eq!(report.batches, 1);
@@ -691,6 +668,30 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_pixels_rejected_at_admission() {
+        let eng = engine(ServeConfig::default(), 47);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut img = image(0.2);
+            img[5] = bad;
+            match eng.submit(img).unwrap_err() {
+                ServeError::Rejected { reason } => {
+                    assert!(reason.contains("pixel 5"), "{reason}");
+                }
+                other => panic!("expected Rejected, got {other}"),
+            }
+        }
+        // nothing reached a worker: a valid image on the same engine is
+        // still answered
+        let res = eng.classify_blocking(image(0.2)).expect("served");
+        assert_eq!(res.logits.len(), 4);
+        let report = eng.shutdown();
+        assert_eq!(report.submitted, 4);
+        assert_eq!(report.rejected, 3);
+        assert_eq!(report.enqueued, 1);
+        assert_eq!(report.completed, 1);
+    }
+
+    #[test]
     fn start_fails_admission_on_too_shallow_chain() {
         // a 1-level chain cannot run the 3-level mini network: start()
         // must refuse with the lint summary, not panic mid-request
@@ -732,7 +733,6 @@ mod tests {
         let shared = Shared {
             queue: BoundedQueue::new(1),
             batches: BoundedQueue::new(1),
-            stats: StatsCore::default(),
             metrics: EngineMetrics::new(&ServeConfig::default(), 8),
             effective_max_batch: AtomicUsize::new(8),
             max_batch_cap: 8,

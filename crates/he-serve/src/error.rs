@@ -7,7 +7,8 @@ use std::time::Duration;
 pub enum ServeError {
     /// Admission control refused the request before it entered the
     /// queue: the inference plan fails he-lint under the engine's
-    /// parameters, or the image shape does not match the network.
+    /// parameters, the image shape does not match the network, or a
+    /// pixel is NaN or ±∞.
     Rejected { reason: String },
     /// The bounded request queue is at capacity — backpressure instead
     /// of unbounded growth. Retry after a backoff.
@@ -24,8 +25,7 @@ pub enum ServeError {
     /// mid-shutdown) and no result will be produced.
     ShuttingDown,
     /// [`crate::ServeConfig::metrics_addr`] was set but the live
-    /// `/metrics` endpoint could not be provided: the bind failed, or
-    /// the engine was built without the `metrics` feature.
+    /// `/metrics` endpoint could not bind it.
     MetricsUnavailable { reason: String },
 }
 

@@ -22,6 +22,11 @@
 //! stale answer), a degradation ladder that halves the coalescing
 //! ceiling after deadline overruns, and drain-on-shutdown.
 //!
+//! Observability has one source: each engine owns a metrics registry
+//! (`metrics`) that counts every serve event once. [`ServeReport`]
+//! reads it, and the optional `/metrics` endpoint
+//! ([`ServeConfig::metrics_addr`]) renders it, so the two agree.
+//!
 //! ```no_run
 //! use he_serve::{ServeConfig, ServeEngine};
 //!

@@ -1,137 +1,39 @@
-//! Engine-local metrics and the rendered `ServeReport`.
+//! The rendered `ServeReport`.
 //!
-//! Counters here are per-engine (an engine's report must not include a
-//! neighbouring engine's traffic); the process-global
-//! [`he_trace::ServeSnapshot`] counters are bumped alongside for trace
-//! attribution.
-//!
-//! Latency-style samples go into bounded log-bucketed histograms
-//! ([`he_metrics::hist`]) rather than the unbounded `Vec<f64>` earlier
-//! versions accumulated: a server that runs for weeks holds the same
-//! few KiB per summary, at the cost of ≤ 12.5% quantile error (count,
-//! min, max and mean stay exact).
+//! The report is a read of the engine's metrics registry: the same
+//! counters and histograms `/metrics` exposes, so the two can never
+//! disagree. Latency-style samples live in bounded log-bucketed
+//! histograms ([`he_metrics::hist`]): a server that runs for weeks
+//! holds the same few KiB per summary, at the cost of ≤ 12.5% quantile
+//! error (count, min, max and mean stay exact).
 
 use cnn_he::LatencyStats;
-use he_metrics::hist::HistogramCore;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use he_metrics::hist::HistogramSnapshot;
 
-/// Bounded latency summary: a microsecond-tick histogram standing in
-/// for the exact sample list.
-#[derive(Default)]
-pub(crate) struct DurationSummary {
-    hist: HistogramCore,
-}
-
-impl DurationSummary {
-    pub fn record(&self, d: Duration) {
-        self.hist
-            .record(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
-    }
-
-    /// Samples recorded so far (exact).
-    #[cfg(test)]
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    /// Reconstruct [`LatencyStats`] (seconds) from the histogram:
-    /// min/max/avg are exact, p50/p95 carry the bucket's ≤ 12.5%
-    /// relative error, std-dev comes from the exact sum of squares.
-    pub fn stats(&self) -> Option<LatencyStats> {
-        let s = self.hist.snapshot();
-        if s.count == 0 {
-            return None;
-        }
-        const TO_S: f64 = 1e-6;
-        Some(LatencyStats {
-            min: s.min as f64 * TO_S,
-            max: s.max as f64 * TO_S,
-            avg: s.mean()? * TO_S,
-            p50: s.quantile_ticks(0.50)? as f64 * TO_S,
-            p95: s.quantile_ticks(0.95)? as f64 * TO_S,
-            std_dev: s.std_dev()? * TO_S,
-        })
-    }
-}
-
-/// Shared mutable metric sink (one per engine).
-#[derive(Default)]
-pub(crate) struct StatsCore {
-    pub submitted: AtomicU64,
-    pub completed: AtomicU64,
-    pub rejected: AtomicU64,
-    pub overloaded: AtomicU64,
-    pub timed_out: AtomicU64,
-    pub batches: AtomicU64,
-    pub batched_images: AtomicU64,
-    pub degradations: AtomicU64,
-    /// Completed-request submit → response latencies.
-    latencies: DurationSummary,
-    /// Per-batch amortized per-image wall.
-    amortized: DurationSummary,
-    /// Queue residency of every batched request (pop-to-dispatch).
-    queue_wait: DurationSummary,
-    /// Deadline slack of completed deadline-carrying requests
-    /// (deadline − completion; never negative — overruns time out).
-    deadline_slack: DurationSummary,
-}
-
-impl StatsCore {
-    pub fn bump(counter: &AtomicU64, by: u64) {
-        counter.fetch_add(by, Ordering::Relaxed);
-    }
-
-    pub fn record_latency(&self, latency: Duration) {
-        self.latencies.record(latency);
-    }
-
-    pub fn record_amortized(&self, per_image: Duration) {
-        self.amortized.record(per_image);
-    }
-
-    pub fn record_queue_wait(&self, wait: Duration) {
-        self.queue_wait.record(wait);
-    }
-
-    pub fn record_deadline_slack(&self, slack: Duration) {
-        self.deadline_slack.record(slack);
-    }
-
-    /// Exact number of latency samples recorded (parity check against
-    /// the `completed` counter in tests).
-    #[cfg(test)]
-    pub fn latency_samples(&self) -> u64 {
-        self.latencies.count()
-    }
-
-    pub fn snapshot(&self, queue_depth: usize, effective_max_batch: usize) -> ServeReport {
-        ServeReport {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            timed_out: self.timed_out.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_images: self.batched_images.load(Ordering::Relaxed),
-            degradations: self.degradations.load(Ordering::Relaxed),
-            queue_depth,
-            effective_max_batch,
-            request_latency: self.latencies.stats(),
-            amortized_per_image: self.amortized.stats(),
-            queue_wait: self.queue_wait.stats(),
-            deadline_slack: self.deadline_slack.stats(),
-            backend: cnn_he::kernel::active_backend().name().to_string(),
-        }
-    }
+/// Reconstruct [`LatencyStats`] (seconds) from a microsecond-tick
+/// histogram: min/max/avg are exact, p50/p95 carry the bucket's
+/// ≤ 12.5% relative error, std-dev comes from the exact sum of
+/// squares. `None` when nothing was recorded.
+pub(crate) fn latency_stats(s: &HistogramSnapshot) -> Option<LatencyStats> {
+    const TO_S: f64 = 1e-6;
+    Some(LatencyStats {
+        min: s.min as f64 * TO_S,
+        max: s.max as f64 * TO_S,
+        avg: s.mean()? * TO_S,
+        p50: s.quantile_ticks(0.50)? as f64 * TO_S,
+        p95: s.quantile_ticks(0.95)? as f64 * TO_S,
+        std_dev: s.std_dev()? * TO_S,
+    })
 }
 
 /// Point-in-time serving metrics, renderable as the shared text table.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     pub submitted: u64,
+    /// Admitted into the request queue.
+    pub enqueued: u64,
     pub completed: u64,
-    /// Refused at admission (shape/lint).
+    /// Refused at admission (wrong shape or a non-finite pixel).
     pub rejected: u64,
     /// Refused with queue-full backpressure.
     pub overloaded: u64,
@@ -242,21 +144,41 @@ impl std::fmt::Display for ServeReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::ServeConfig;
+    use crate::metrics::EngineMetrics;
+    use he_trace::OpSnapshot;
+    use std::time::Duration;
+
+    fn metrics() -> EngineMetrics {
+        EngineMetrics::new(&ServeConfig::default(), 8)
+    }
+
+    /// A completed request with this latency and no deadline.
+    fn complete(m: &EngineMetrics, latency: Duration) {
+        m.on_complete(m.next_request_id(), 1, None, latency);
+    }
 
     #[test]
     fn snapshot_aggregates_counters_and_samples() {
-        let core = StatsCore::default();
-        StatsCore::bump(&core.submitted, 5);
-        StatsCore::bump(&core.completed, 4);
-        StatsCore::bump(&core.batches, 2);
-        StatsCore::bump(&core.batched_images, 4);
-        core.record_latency(Duration::from_millis(100));
-        core.record_latency(Duration::from_millis(300));
-        core.record_amortized(Duration::from_millis(50));
-        let r = core.snapshot(3, 8);
+        let m = metrics();
+        for _ in 0..5 {
+            m.on_submit();
+        }
+        for size in [1, 3] {
+            let waits = vec![Duration::from_millis(1); size];
+            m.on_batch(size, Duration::ZERO, &waits, 0);
+        }
+        complete(&m, Duration::from_millis(100));
+        complete(&m, Duration::from_millis(300));
+        complete(&m, Duration::from_millis(200));
+        complete(&m, Duration::from_millis(200));
+        let wall = Duration::from_millis(150);
+        m.on_exec(1, 3, wall, wall / 3, &OpSnapshot::default());
+        let r = m.report(3, 8);
         assert_eq!(r.submitted, 5);
         assert_eq!(r.completed, 4);
+        assert_eq!(r.batches, 2);
+        assert_eq!(r.batched_images, 4);
         assert_eq!(r.queue_depth, 3);
         assert_eq!(r.effective_max_batch, 8);
         assert!((r.mean_batch() - 2.0).abs() < 1e-12);
@@ -265,27 +187,34 @@ mod tests {
         assert!((lat.avg - 0.2).abs() < 1e-9);
         assert!((lat.min - 0.1).abs() < 1e-9);
         assert!((lat.max - 0.3).abs() < 1e-9);
-        assert!(r.amortized_per_image.is_some());
+        let amortized = r.amortized_per_image.unwrap();
+        assert!((amortized.avg - 0.05).abs() < 1e-9);
     }
 
     #[test]
     fn bounded_summary_count_parity_is_exact() {
-        // The histogram replacement for the old Vec<f64> must never
-        // miscount: record N samples, read back exactly N — and keep
-        // memory constant however many samples arrive.
-        let s = DurationSummary::default();
+        // The bounded histogram must never miscount: record N samples,
+        // read back exactly N — and keep memory constant however many
+        // samples arrive.
+        let m = metrics();
         let n = 10_000u64;
         for i in 0..n {
-            s.record(Duration::from_micros(17 * i % 3_000_000));
+            complete(&m, Duration::from_micros(17 * i % 3_000_000));
         }
-        assert_eq!(s.count(), n);
-        let stats = s.stats().unwrap();
+        let r = m.report(0, 8);
+        assert_eq!(r.completed, n);
+        let expo = he_metrics::expo::parse(&m.render()).unwrap();
+        assert_eq!(
+            expo.value("he_serve_request_latency_seconds_count", &[]),
+            Some(n as f64)
+        );
+        let stats = r.request_latency.unwrap();
         assert!(stats.min >= 0.0 && stats.max < 3.0);
     }
 
     #[test]
     fn bounded_summary_quantiles_track_exact_values() {
-        let s = DurationSummary::default();
+        let m = metrics();
         let mut exact: Vec<f64> = Vec::new();
         let mut x = 88_172_645_463_325_252u64;
         for _ in 0..2_000 {
@@ -294,36 +223,50 @@ mod tests {
             x ^= x << 17;
             let us = 100 + (x % 500_000); // 100µs .. 0.5s
             exact.push(us as f64 * 1e-6);
-            s.record(Duration::from_micros(us));
+            complete(&m, Duration::from_micros(us));
         }
         exact.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let got = s.stats().unwrap();
+        let got = m.report(0, 8).request_latency.unwrap();
         for (q, g) in [(0.50, got.p50), (0.95, got.p95)] {
             let rank = ((q * exact.len() as f64).ceil() as usize).clamp(1, exact.len());
             let truth = exact[rank - 1];
             let rel = (g - truth).abs() / truth;
             assert!(rel <= 0.13, "q{q}: histogram {g} vs exact {truth}");
         }
-        // mean and std-dev reconstruct within float tolerance
+        // mean and min/max reconstruct within float tolerance
         let mean = exact.iter().sum::<f64>() / exact.len() as f64;
         assert!((got.avg - mean).abs() / mean < 1e-9);
+        assert!((got.min - exact[0]).abs() < 1e-9);
+        assert!((got.max - exact[exact.len() - 1]).abs() < 1e-9);
     }
 
     #[test]
     fn report_renders_every_headline_metric() {
-        let core = StatsCore::default();
-        core.record_latency(Duration::from_millis(10));
-        core.record_queue_wait(Duration::from_millis(2));
-        core.record_deadline_slack(Duration::from_millis(90));
-        let r = core.snapshot(0, 4);
-        let s = r.render();
+        let m = metrics();
+        m.on_batch(1, Duration::ZERO, &[Duration::from_millis(2)], 0);
+        let wall = Duration::from_millis(10);
+        m.on_exec(1, 1, wall, wall, &OpSnapshot::default());
+        m.on_complete(
+            m.next_request_id(),
+            1,
+            Some(Duration::from_millis(90)),
+            Duration::from_millis(10),
+        );
+        let s = m.report(0, 4).render();
         for needle in [
+            "kernel backend",
             "requests submitted",
+            "requests completed",
+            "rejected (admission)",
             "timed out",
             "overloaded",
+            "batches executed",
             "mean batch size",
+            "degradations",
+            "queue depth",
             "effective max batch",
             "request latency p50/p95",
+            "amortized per image p50/p95",
             "queue wait p50/p95",
             "deadline slack p50/p95",
         ] {
@@ -333,13 +276,15 @@ mod tests {
 
     #[test]
     fn empty_report_has_no_latency_rows() {
-        let core = StatsCore::default();
-        let r = core.snapshot(0, 1);
+        let r = metrics().report(0, 1);
         assert_eq!(r.mean_batch(), 0.0);
         assert!(r.request_latency.is_none());
+        assert!(r.amortized_per_image.is_none());
         assert!(r.queue_wait.is_none());
         assert!(r.deadline_slack.is_none());
         assert!(!r.render().contains("request latency"));
+        assert!(!r.render().contains("amortized per image"));
         assert!(!r.render().contains("queue wait"));
+        assert!(!r.render().contains("deadline slack"));
     }
 }

@@ -45,10 +45,7 @@ pub use chrome::{to_chrome_json, validate_chrome_json};
 pub use counters::{
     record_crt_decompose, record_crt_recompose, record_ct_mult, record_fault_detected,
     record_fault_injected, record_keyswitch, record_modmul_limbs, record_ntt_fwd, record_ntt_inv,
-    record_relin, record_rescale, record_rotation, record_scalar_mac, record_serve_batch,
-    record_serve_batched_images, record_serve_degraded, record_serve_enqueue,
-    record_serve_overloaded, record_serve_rejected, record_serve_timeout, FaultSnapshot,
-    OpSnapshot, ServeSnapshot,
+    record_relin, record_rescale, record_rotation, record_scalar_mac, FaultSnapshot, OpSnapshot,
 };
 pub use folded::to_folded_stacks;
 pub use report::{TraceReport, TraceRow, UnitStats};

@@ -227,9 +227,18 @@ impl Drop for TraceSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes this module's tests: a span opened by one test while
+    /// another test's session records would land in that session.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn session_captures_spans_with_thread_ids() {
+        let _serial = serial();
         let session = TraceSession::begin();
         {
             let _outer = span("outer", "test");
@@ -261,6 +270,7 @@ mod tests {
 
     #[test]
     fn no_recording_outside_session() {
+        let _serial = serial();
         {
             let _s = span("orphan", "test");
         }

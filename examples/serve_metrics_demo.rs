@@ -157,6 +157,22 @@ fn main() {
         report.batched_images as f64,
         "one queue-wait sample per batched request"
     );
+    for (outcome, n) in [
+        ("rejected", report.rejected),
+        ("overloaded", report.overloaded),
+        ("timed_out", report.timed_out),
+    ] {
+        assert_eq!(
+            count("he_serve_requests_total", &[("outcome", outcome)]),
+            n as f64,
+            "{outcome} counter disagrees with ServeReport"
+        );
+    }
+    assert_eq!(
+        count("he_serve_degradations_total", &[]),
+        report.degradations as f64,
+        "degradation counter disagrees with ServeReport"
+    );
     let ops_now = OpSnapshot::now();
     assert_eq!(
         count("he_ops_total", &[("op", "ct_mults")]),

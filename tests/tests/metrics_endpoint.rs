@@ -244,6 +244,21 @@ fn exposition_agrees_with_report_at_quiescence() {
         Some(report.batched_images as f64),
         "one queue-wait sample per batched request"
     );
+    for (outcome, n) in [
+        ("rejected", report.rejected),
+        ("overloaded", report.overloaded),
+        ("timed_out", report.timed_out),
+    ] {
+        assert_eq!(
+            e.value("he_serve_requests_total", &[("outcome", outcome)]),
+            Some(n as f64),
+            "{outcome} counter disagrees with ServeReport"
+        );
+    }
+    assert_eq!(
+        e.value("he_serve_degradations_total", &[]),
+        Some(report.degradations as f64)
+    );
     assert_eq!(e.value("he_serve_workers", &[]), Some(1.0));
     assert!(e.has_series("he_kernel_backend_info"));
     assert!(e.has_series("he_serve_exec_mode_info"));
